@@ -10,10 +10,11 @@
 //! The cycle counts are deterministic, so every rep's grid is
 //! cell-for-cell identical; only the wall-clock telemetry varies. The
 //! `--json <path>` artifact is an ordinary `BENCH_*.json` grid (the
-//! median-wall rep's), so a series of CI artifacts feeds straight into
-//! `bench-diff --trend` like any other sweep. Wall-clock itself stays
-//! *non-gating*: shared runners make it too noisy to fail a build on,
-//! the artifact trail is the deliverable.
+//! median-wall rep's) that records `wall_ms` and per-cell `sim_micros`.
+//! `bench-diff --trend` reads such a series, but it trends only each
+//! cell's `normalized` time, which is deterministic; no tool here
+//! trends the wall-clock fields. Wall-clock itself stays *non-gating*:
+//! shared runners make it too noisy to fail a build on.
 //!
 //! `--require-ffwd` adds the one check that *is* gating: the steady-
 //! state fast-forward must have batched at least one iteration somewhere

@@ -150,8 +150,8 @@ fn run_spec(
         .loops
         .iter()
         .map(|l| {
-            // Same panic contract as `compile_or_panic`, but keeps the
-            // pipeline's per-pass timing.
+            // Same panic contract as `CompileRequest::compile_or_panic`,
+            // but keeps the pipeline's per-pass timing.
             let (s, stats) = request
                 .compile_with_stats(l, cfg)
                 .unwrap_or_else(|e| panic!("{} ('{}'): {e}", request.arch.label(), l.name));

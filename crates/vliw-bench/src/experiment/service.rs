@@ -41,11 +41,12 @@ pub fn zipf_mix(pool_len: usize, requests: usize, s: f64, seed: u64) -> Vec<MixD
 
 /// Materializes a mix into key-mode specific [`ServiceRequest`]s.
 ///
-/// Under [`KeyMode::Symbolic`] the content key is trip-invariant, so it
-/// is hashed once per pool loop and shared by every variant
-/// ([`ServiceRequest::with_shape`]); under [`KeyMode::Exact`] the
-/// concrete bounds are part of the address and every variant re-hashes —
-/// the request-side cost of exact keying, on top of its lower hit rate.
+/// Every variant comes from [`ServiceRequest::with_shape`]. Under
+/// [`KeyMode::Symbolic`] the content key is trip-invariant, so it is
+/// hashed once per pool loop and shared by every variant; under
+/// [`KeyMode::Exact`] the concrete bounds are part of the address and
+/// every variant re-hashes — the request-side cost of exact keying, on
+/// top of its lower hit rate.
 pub fn materialize_mix(
     mix: &[MixDraw],
     pool: &[Arc<LoopNest>],
@@ -70,19 +71,7 @@ pub fn materialize_mix(
                 trip_count: trip,
                 visits: bases[li].shape.visits,
             };
-            match mode {
-                KeyMode::Symbolic => bases[li].with_shape(shape),
-                KeyMode::Exact => {
-                    let mut loop_ = (*bases[li].loop_).clone();
-                    shape.apply(&mut loop_);
-                    ServiceRequest::new(
-                        Arc::new(loop_),
-                        Arc::clone(machine),
-                        Arc::clone(request),
-                        mode,
-                    )
-                }
-            }
+            bases[li].with_shape(shape)
         })
         .collect()
 }

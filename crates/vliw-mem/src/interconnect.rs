@@ -2,7 +2,7 @@
 //! port-limited grants, distance-dependent hop latency and — on the mesh
 //! topology — per-link occupancy.
 //!
-//! [`InterconnectConfig`](vliw_machine::InterconnectConfig) describes the
+//! [`InterconnectConfig`] describes the
 //! network shape; this module owns its cycle-by-cycle behaviour. Every
 //! memory model routes refill/snoop traffic through one [`Interconnect`]:
 //!
@@ -584,8 +584,8 @@ impl Interconnect {
     /// cycle order, so the horizon is generous) and are dropped.
     ///
     /// On the event engine this is a no-op — the wheels retire their
-    /// slots implicitly as reservations pass them — so the housekeeping
-    /// calendar may drive it at any cadence. The cycle-stepped reference
+    /// slots implicitly as reservations pass them — so the runner's
+    /// retire deadline may drive it at any cadence. The cycle-stepped reference
     /// engine calls it once per drained cycle, which is exactly the
     /// original `tick` discipline.
     pub fn retire(&mut self, cycle: u64) {

@@ -113,7 +113,7 @@ pub trait MemoryModel {
     /// Retires arbitration/MSHR state that can no longer influence any
     /// replayed request (everything more than [`REPLAY_HORIZON`] cycles
     /// before `cycle`). Replaces the old per-slot `tick` plumbing: the
-    /// event runner drives it sparsely from its housekeeping calendar
+    /// event runner drives it sparsely from its retire deadline
     /// (retirement is timing-invisible, so any cadence is correct), and
     /// the cycle-stepped reference runner drives it once per drained
     /// cycle. Models without prunable state ignore it.

@@ -142,7 +142,7 @@ impl MshrFile {
     /// [`REPLAY_HORIZON`](crate::REPLAY_HORIZON) discipline of
     /// [`Interconnect::retire`](crate::Interconnect::retire)). Pruning
     /// is timing-invisible — stale windows match no probe and never
-    /// count as busy — so the event runner's housekeeping calendar may
+    /// count as busy — so the event runner's retire deadline may
     /// drive this at any cadence; it exists purely to bound the file's
     /// memory on long simulations.
     pub fn retire(&mut self, cycle: u64) {

@@ -77,23 +77,6 @@ impl Arch {
     ) -> Result<Schedule, ScheduleError> {
         CompileRequest::new(self).opts(opts).compile(loop_, cfg)
     }
-
-    /// [`Arch::compile`] for loops that are schedulable by construction.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the loop cannot be scheduled — the benchmark suite's
-    /// loops all are, so a failure is a harness bug.
-    pub fn compile_or_panic(
-        self,
-        loop_: &LoopNest,
-        cfg: &MachineConfig,
-        opts: L0Options,
-    ) -> Schedule {
-        CompileRequest::new(self)
-            .opts(opts)
-            .compile_or_panic(loop_, cfg)
-    }
 }
 
 impl fmt::Display for Arch {

@@ -111,7 +111,7 @@ pub fn render_kernel(schedule: &Schedule) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::compile_for_l0;
+    use crate::{Arch, CompileRequest};
     use vliw_ir::LoopBuilder;
     use vliw_machine::MachineConfig;
 
@@ -122,7 +122,7 @@ mod tests {
             .fir(3, 2)
             .build();
         let cfg = MachineConfig::micro2003();
-        let s = compile_for_l0(&l, &cfg).unwrap();
+        let s = CompileRequest::new(Arch::L0).compile(&l, &cfg).unwrap();
         let text = render_kernel(&s);
         assert!(text.contains("II="));
         for p in &s.placements {
@@ -141,7 +141,7 @@ mod tests {
             .elementwise(2)
             .build();
         let cfg = MachineConfig::micro2003();
-        let s = compile_for_l0(&l, &cfg).unwrap();
+        let s = CompileRequest::new(Arch::L0).compile(&l, &cfg).unwrap();
         let text = render_kernel(&s);
         let data_rows = text
             .lines()
@@ -162,7 +162,7 @@ mod tests {
             .elementwise(2)
             .build();
         let cfg = MachineConfig::micro2003();
-        let s = compile_for_l0(&l, &cfg).unwrap();
+        let s = CompileRequest::new(Arch::L0).compile(&l, &cfg).unwrap();
         let text = render_kernel(&s);
         assert!(
             text.contains("SEQ_ACCESS")

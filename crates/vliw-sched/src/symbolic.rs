@@ -18,8 +18,8 @@
 //! candidate — and stores *both* finished schedules in a
 //! [`SymbolicArtifact`]. [`CompileRequest::instantiate`] patches the
 //! real [`TripShape`] back in, replays decisions 1–2 through the exact
-//! same predicates the direct path uses ([`unroll_eligible`],
-//! [`unrolled_wins`] — one shared implementation, so the floating-point
+//! same predicates the direct path uses (`unroll_eligible`,
+//! `unrolled_wins` — one shared implementation, so the floating-point
 //! comparison cannot drift), and re-checks schedule legality
 //! ([`Schedule::validate`] plus the II ≥ MII invariant) before handing
 //! the schedule out. The result is bit-exact with

@@ -72,8 +72,13 @@ pub struct ServiceRequest {
     pub machine: Arc<MachineConfig>,
     /// Compilation knobs (backend, marking, unrolling, profile …).
     pub request: Arc<CompileRequest>,
-    /// Content address under the service's [`KeyMode`].
+    /// Content address under [`ServiceRequest::mode`].
     pub key: ArtifactKey,
+    /// The mode `key` was derived under. A service whose
+    /// [`ServiceConfig::key_mode`] differs rejects the request: an exact
+    /// key read as symbolic (or the reverse) would serve another trip
+    /// count's schedule.
+    pub mode: KeyMode,
     /// The concrete trip shape symbolic instantiation restores.
     pub shape: TripShape,
 }
@@ -93,24 +98,34 @@ impl ServiceRequest {
             request,
             key,
             shape,
+            mode,
         }
     }
 
-    /// A trip-count variant of this request that reuses the precomputed
-    /// key — valid only under [`KeyMode::Symbolic`], where the key is
-    /// trip-invariant by construction. (Under [`KeyMode::Exact`] the
-    /// trips are part of the key, so variants must go through
-    /// [`ServiceRequest::new`].)
+    /// A trip-count variant of this request. Under [`KeyMode::Symbolic`]
+    /// the key is trip-invariant by construction and is reused; under
+    /// [`KeyMode::Exact`] the trips are part of the key, so it is
+    /// re-derived.
     #[must_use]
     pub fn with_shape(&self, shape: TripShape) -> Self {
         let mut loop_ = (*self.loop_).clone();
         shape.apply(&mut loop_);
-        ServiceRequest {
-            loop_: Arc::new(loop_),
-            machine: Arc::clone(&self.machine),
-            request: Arc::clone(&self.request),
-            key: self.key,
-            shape,
+        let loop_ = Arc::new(loop_);
+        match self.mode {
+            KeyMode::Symbolic => ServiceRequest {
+                loop_,
+                machine: Arc::clone(&self.machine),
+                request: Arc::clone(&self.request),
+                key: self.key,
+                shape,
+                mode: self.mode,
+            },
+            KeyMode::Exact => ServiceRequest::new(
+                loop_,
+                Arc::clone(&self.machine),
+                Arc::clone(&self.request),
+                self.mode,
+            ),
         }
     }
 }
@@ -144,7 +159,8 @@ pub struct FailureRecord {
     /// Content address of the request that failed.
     pub key: ArtifactKey,
     /// Name of the pipeline pass that rejected it, when the error
-    /// carries one (see `ScheduleError::pass_name`).
+    /// carries one (see `ScheduleError::pass_name`); `None` for a
+    /// request rejected because its key mode is not the service's.
     pub pass: Option<String>,
     /// The scheduler's error, rendered.
     pub error: String,
@@ -333,20 +349,33 @@ fn run_shard(queue: &BoundedQueue<Job>, config: &ServiceConfig) -> ShardOutcome 
         checksum: 0,
     };
     while let Some(job) = queue.pop() {
-        match serve(&mut store, config, &job.req) {
+        let key = job.req.key;
+        let served = if job.req.mode == config.key_mode {
+            serve(&mut store, config, &job.req).map_err(|e| FailureRecord {
+                key,
+                pass: e.pass_name().map(str::to_string),
+                error: e.to_string(),
+            })
+        } else {
+            Err(FailureRecord {
+                key,
+                pass: None,
+                error: format!(
+                    "request keyed {:?}, service keys {:?}",
+                    job.req.mode, config.key_mode
+                ),
+            })
+        };
+        match served {
             Ok(s) => {
                 outcome.served += 1;
                 if config.checksum {
                     outcome.checksum = outcome.checksum.wrapping_add(schedule_digest(&s));
                 }
             }
-            Err(e) => {
+            Err(failure) => {
                 outcome.errors += 1;
-                outcome.failures.push(FailureRecord {
-                    key: job.req.key,
-                    pass: e.pass_name().map(str::to_string),
-                    error: e.to_string(),
-                });
+                outcome.failures.push(failure);
             }
         }
         outcome
@@ -649,6 +678,47 @@ mod tests {
             assert_eq!(f.pass.as_deref(), Some("lower"), "failing pass is named");
             assert!(f.error.contains("L0 configuration"), "{}", f.error);
         }
+    }
+
+    #[test]
+    fn mismatched_key_mode_is_a_failure_not_a_wrong_schedule() {
+        // Symbolic keys ignore the trip count; a service keying exactly
+        // would otherwise serve trip 16's schedule for trip 4096.
+        let trips = [16u64, 4096, 16, 4096];
+        let report = CompileService::new(config(KeyMode::Exact, true))
+            .replay(requests(&trips, KeyMode::Symbolic));
+        assert_eq!(report.served, 0);
+        assert_eq!(report.errors, trips.len() as u64);
+        assert_eq!(report.store.hits + report.store.misses, 0);
+        let failures = report.failures.expect("fresh reports carry failures");
+        assert!(failures.iter().all(|f| f.pass.is_none()), "{failures:?}");
+
+        // Matching modes still agree with the uncached replay.
+        let cold = CompileService::new(config(KeyMode::Exact, false))
+            .replay(requests(&trips, KeyMode::Exact));
+        let exact = CompileService::new(config(KeyMode::Exact, true))
+            .replay(requests(&trips, KeyMode::Exact));
+        assert_eq!(exact.served, trips.len() as u64);
+        assert_eq!(exact.checksum, cold.checksum);
+    }
+
+    #[test]
+    fn with_shape_rederives_exact_keys_and_keeps_symbolic_ones() {
+        let shape = |r: &ServiceRequest| TripShape {
+            trip_count: 4096,
+            visits: r.shape.visits,
+        };
+        let [exact] = &requests(&[16], KeyMode::Exact)[..] else {
+            unreachable!()
+        };
+        let reshaped = exact.with_shape(shape(exact));
+        assert_ne!(reshaped.key, exact.key, "trips are part of an exact key");
+        assert_eq!(reshaped.key, requests(&[4096], KeyMode::Exact)[0].key);
+
+        let [symbolic] = &requests(&[16], KeyMode::Symbolic)[..] else {
+            unreachable!()
+        };
+        assert_eq!(symbolic.with_shape(shape(symbolic)).key, symbolic.key);
     }
 
     #[test]

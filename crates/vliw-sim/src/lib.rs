@@ -42,11 +42,9 @@
 pub mod model;
 pub mod result;
 pub mod runner;
-pub mod timeq;
 
 pub use model::{simulate_arch, MemoryModelKind};
 pub use result::{FfwdStats, OpStall, SimResult};
 pub use runner::{simulate, simulate_reference, simulate_with};
-pub use timeq::TimeQueue;
 pub use vliw_mem::EngineKind;
 pub use vliw_sched::Arch;

@@ -3,8 +3,9 @@
 //!
 //! [`simulate`] runs the event engine — arbitration state lives on
 //! occupancy wheels that retire as the clock passes them, and the only
-//! periodic work is a sparse housekeeping event on a [`TimeQueue`]
-//! calendar. [`simulate_reference`] runs the retained cycle-stepped
+//! periodic work is a [`MemoryModel::retire`] call each time the slot
+//! clock reaches a retire deadline, re-armed [`REPLAY_HORIZON`] cycles
+//! ahead. [`simulate_reference`] runs the retained cycle-stepped
 //! reference — `BTreeMap`/`BTreeSet` arbitration state swept by
 //! [`MemoryModel::retire`] once per drained issue slot, the original
 //! tick discipline verbatim. The two are timing-identical (DESIGN.md
@@ -21,7 +22,6 @@
 //! fast-forward-on against fast-forward-off.
 
 use crate::result::{OpStall, SimResult};
-use crate::timeq::TimeQueue;
 use std::ops::Range;
 use vliw_ir::{AddressStream, OpId};
 use vliw_machine::{ClusterId, MachineConfig, NetLoad};
@@ -370,9 +370,9 @@ fn iteration_stride(events: &[Event], slots: &[Range<usize>], flat: bool) -> Opt
 /// within a slot rotates round-robin with the iteration index, so no
 /// cluster is structurally first at every bank arbitration; on the flat
 /// network the order is fixed and the loop is bit-exact with the original
-/// fixed-delay runner. Model housekeeping ([`MemoryModel::retire`]) rides
-/// a sparse [`TimeQueue`] calendar — one O(1) peek per slot, a retire
-/// roughly every [`REPLAY_HORIZON`] cycles — instead of a per-slot sweep;
+/// fixed-delay runner. Model housekeeping ([`MemoryModel::retire`]) runs
+/// against a single deadline — one comparison per slot, a retire at most
+/// once every [`REPLAY_HORIZON`] cycles — instead of a per-slot sweep;
 /// retirement is timing-invisible, so the cadence does not affect results.
 ///
 /// The model must be built on [`EngineKind::Event`] (the default of every
@@ -470,12 +470,9 @@ fn run(
         ));
     }
 
-    // The event engine's housekeeping calendar: a single self-renewing
-    // retire event, so the hot loop pays one peek per slot.
-    let mut housekeeping: TimeQueue<()> = TimeQueue::new();
-    if engine == EngineKind::Event {
-        housekeeping.schedule(REPLAY_HORIZON, ());
-    }
+    // The event engine's housekeeping: the slot clock at or after which
+    // the model next retires, so the hot loop pays one comparison per slot.
+    let mut next_retire = REPLAY_HORIZON;
 
     let mut visit: u64 = 0;
     while visit < visits {
@@ -504,9 +501,9 @@ fn run(
                 let slot_clock = (iter_base as i64 + slot[0].t) as u64 + slip;
                 match engine {
                     EngineKind::Event => {
-                        while housekeeping.pop_due(slot_clock).is_some() {
+                        if next_retire <= slot_clock {
                             model.retire(slot_clock);
-                            housekeeping.schedule(slot_clock + REPLAY_HORIZON, ());
+                            next_retire = slot_clock + REPLAY_HORIZON;
                         }
                     }
                     EngineKind::Stepped => model.retire(slot_clock),
@@ -957,5 +954,66 @@ mod tests {
             assert_eq!(on, off, "{arch}");
             assert_eq!(off.ffwd.iters_batched, 0);
         }
+    }
+
+    // -- retire cadence -------------------------------------------------
+
+    /// Forwards to a real model and counts [`MemoryModel::retire`] calls.
+    /// It keeps the defaulted digest, so fast-forward stays off and every
+    /// iteration is replayed.
+    struct CountRetires {
+        inner: Box<dyn MemoryModel>,
+        retires: u64,
+    }
+
+    impl MemoryModel for CountRetires {
+        fn access(&mut self, req: &MemRequest) -> vliw_mem::MemReply {
+            self.inner.access(req)
+        }
+        fn invalidate_buffers(&mut self, cluster: ClusterId, cycle: u64) {
+            self.inner.invalidate_buffers(cluster, cycle);
+        }
+        fn retire(&mut self, cycle: u64) {
+            self.retires += 1;
+            self.inner.retire(cycle);
+        }
+        fn stats(&self) -> &MemStats {
+            self.inner.stats()
+        }
+    }
+
+    /// Runs `engine` on a single-visit, 100k-trip stream kernel; returns
+    /// the retire count, the replayed iterations and the schedule's
+    /// issue-slot count.
+    fn count_retires(engine: EngineKind) -> (u64, u64, u64) {
+        let l = LoopBuilder::new("ew")
+            .trip_count(100_000)
+            .elementwise(2)
+            .build();
+        let c = cfg();
+        let s = compile(&l, &c, Arch::L0);
+        let mut m = CountRetires {
+            inner: MemoryModelKind::for_arch(Arch::L0).build_with_engine(&c, engine),
+            retires: 0,
+        };
+        let r = simulate_with(&s, &c, &mut m, engine, true);
+        assert_eq!(r.ffwd.iters_batched, 0, "the wrapper keeps ffwd off");
+        let slots = build_events(&s).1.len() as u64;
+        (m.retires, r.ffwd.iters_replayed, slots)
+    }
+
+    #[test]
+    fn event_engine_retires_once_per_horizon() {
+        // The deadline re-arms REPLAY_HORIZON past each retire, so this
+        // count fixes every retire cycle; any cadence change moves it.
+        let (retires, _, _) = count_retires(EngineKind::Event);
+        assert_eq!(retires, 35);
+    }
+
+    #[test]
+    fn stepped_engine_retires_once_per_drained_slot() {
+        let (retires, replayed, slots) = count_retires(EngineKind::Stepped);
+        assert!(slots > 0);
+        assert_eq!(retires, replayed * slots);
     }
 }

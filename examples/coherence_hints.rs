@@ -5,8 +5,7 @@
 //! Run with: `cargo run --release --example coherence_hints`
 
 use clustered_vliw_l0::machine::MachineConfig;
-use clustered_vliw_l0::sched::Arch;
-use clustered_vliw_l0::sched::{compile_for_l0_with, CoherencePolicy, L0Options};
+use clustered_vliw_l0::sched::{Arch, CoherencePolicy, L0Options};
 use clustered_vliw_l0::sim::simulate_arch;
 use clustered_vliw_l0::workloads::kernels;
 
@@ -37,7 +36,7 @@ fn main() {
                     specialize,
                     ..Default::default()
                 };
-                let s = compile_for_l0_with(loop_, &cfg, opts).expect("schedulable");
+                let s = Arch::L0.compile(loop_, &cfg, opts).expect("schedulable");
                 let r = simulate_arch(&s, &cfg, Arch::L0);
                 println!(
                     "  {:<26} specialization {:<3}  II={:<3} replicas={:<2} cycles={}",

@@ -14,7 +14,8 @@
 //!   with attraction buffers.
 //! * [`sched`] — modulo scheduling: SMS ordering, the BASE clustered
 //!   scheduler, and the paper's L0-aware scheduling algorithm.
-//! * [`sim`] — the lock-step cycle simulator.
+//! * [`sim`] — the event-driven cycle simulator (lock-step clusters,
+//!   stall accounting per op, steady-state fast-forward).
 //! * [`workloads`] — the synthetic Mediabench-like benchmark suite.
 //! * [`service`] — compile-as-a-service: the sharded worker pool over a
 //!   content-addressed artifact cache with symbolic trip-count keys.
@@ -53,7 +54,7 @@ pub mod prelude {
     pub use vliw_machine::{
         AccessHint, L0Capacity, MachineConfig, MappingHint, MemHints, PrefetchHint,
     };
-    pub use vliw_sched::{compile_base, compile_for_l0, Arch, L0Options, Schedule};
+    pub use vliw_sched::{Arch, CompileRequest, L0Options, Schedule};
     pub use vliw_sim::{simulate_arch, MemoryModelKind, SimResult};
     pub use vliw_workloads::{mediabench_suite, BenchmarkSpec};
 }

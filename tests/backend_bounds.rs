@@ -66,14 +66,16 @@ fn exact_ii_within_mii_and_sms_across_the_whole_suite() {
 
 #[test]
 fn default_backend_is_bit_exact_with_the_legacy_compile_path() {
-    // The `CompileRequest` default must reproduce `Arch::compile` (which
-    // itself wraps it) *and* the historical per-arch drivers.
+    // The `CompileRequest` default must reproduce `Arch::compile`, the
+    // one short form over it.
     let cfg = MachineConfig::micro2003();
     for spec in mediabench_suite().into_iter().take(3) {
         for l in &spec.loops {
             for arch in ARCHES {
                 let via_request = CompileRequest::new(arch).compile_or_panic(l, &cfg);
-                let via_arch = arch.compile_or_panic(l, &cfg, vliw_sched::L0Options::default());
+                let via_arch = arch
+                    .compile(l, &cfg, vliw_sched::L0Options::default())
+                    .expect("schedulable");
                 assert_eq!(via_request.ii(), via_arch.ii());
                 assert_eq!(via_request.placements, via_arch.placements);
                 assert_eq!(via_request.copies, via_arch.copies);

@@ -1,36 +1,37 @@
 //! Integration tests for the paper's headline qualitative claims, run on
 //! a subset of the synthetic Mediabench suite (the full sweep lives in
-//! the `vliw-bench` binaries).
+//! the `vliw-bench` binaries). Each claim runs a one-benchmark
+//! [`SweepGrid`], so every total carries the same baseline-sized scalar
+//! region the figures use.
 
 use clustered_vliw_l0::machine::{AccessHint, L0Capacity, MachineConfig};
 use clustered_vliw_l0::sched::L0Options;
 use clustered_vliw_l0::workloads::mediabench_suite;
-use vliw_bench::{baseline_run, run_benchmark, Arch};
+use vliw_bench::experiment::{Cell, SweepGrid, Variant};
+use vliw_bench::Arch;
 
-fn pick<'a>(
-    suite: &'a [clustered_vliw_l0::workloads::BenchmarkSpec],
-    name: &str,
-) -> &'a clustered_vliw_l0::workloads::BenchmarkSpec {
-    suite
-        .iter()
+/// Runs `variants` on the named suite benchmark over `cfg` and returns
+/// one cell per variant, in order.
+fn cells(name: &str, cfg: MachineConfig, variants: Vec<Variant>) -> Vec<Cell> {
+    let spec = mediabench_suite()
+        .into_iter()
         .find(|s| s.name == name)
-        .expect("benchmark exists")
+        .expect("benchmark exists");
+    SweepGrid::new(name, cfg, vec![spec])
+        .with_variants(variants)
+        .run()
+        .row(0)
+        .to_vec()
 }
 
 #[test]
 fn g721_wins_big_with_eight_entry_buffers() {
-    let suite = mediabench_suite();
-    let spec = pick(&suite, "g721dec");
-    let cfg = MachineConfig::micro2003();
-    let base = baseline_run(spec, &cfg);
-    let l0 = run_benchmark(
-        spec,
-        &cfg,
-        Arch::L0,
-        L0Options::default(),
-        base.loops.total_cycles(),
-    );
-    let norm = l0.total() as f64 / base.total() as f64;
+    let l0 = &cells(
+        "g721dec",
+        MachineConfig::micro2003(),
+        vec![Variant::new(Arch::L0)],
+    )[0];
+    let norm = l0.normalized;
     assert!(
         norm < 0.85,
         "g721dec normalized {norm:.3} must show a clear win"
@@ -40,18 +41,12 @@ fn g721_wins_big_with_eight_entry_buffers() {
 #[test]
 fn jpegdec_does_not_benefit() {
     // §5.2: jpegdec is the benchmark where L0 buffers do not pay off.
-    let suite = mediabench_suite();
-    let spec = pick(&suite, "jpegdec");
-    let cfg = MachineConfig::micro2003();
-    let base = baseline_run(spec, &cfg);
-    let l0 = run_benchmark(
-        spec,
-        &cfg,
-        Arch::L0,
-        L0Options::default(),
-        base.loops.total_cycles(),
-    );
-    let norm = l0.total() as f64 / base.total() as f64;
+    let l0 = &cells(
+        "jpegdec",
+        MachineConfig::micro2003(),
+        vec![Variant::new(Arch::L0)],
+    )[0];
+    let norm = l0.normalized;
     assert!(
         norm > 0.95,
         "jpegdec normalized {norm:.3} should be ~1.0 or worse"
@@ -61,64 +56,39 @@ fn jpegdec_does_not_benefit() {
 #[test]
 fn eight_entries_beat_two_entries() {
     // Figure 5 + in-text: 2-entry buffers give a smaller improvement.
-    let suite = mediabench_suite();
-    let spec = pick(&suite, "gsmdec");
-    let big = MachineConfig::micro2003().with_l0_entries(L0Capacity::Bounded(8));
-    let small = MachineConfig::micro2003().with_l0_entries(L0Capacity::Bounded(2));
-    let base = baseline_run(spec, &big);
-    let r8 = run_benchmark(
-        spec,
-        &big,
-        Arch::L0,
-        L0Options::default(),
-        base.loops.total_cycles(),
+    // Both columns share one baseline (it never depends on L0 capacity),
+    // so their totals carry the same scalar region.
+    let row = cells(
+        "gsmdec",
+        MachineConfig::micro2003(),
+        vec![
+            Variant::new(Arch::L0).l0(L0Capacity::Bounded(8)),
+            Variant::new(Arch::L0).l0(L0Capacity::Bounded(2)),
+        ],
     );
-    let r2 = run_benchmark(
-        spec,
-        &small,
-        Arch::L0,
-        L0Options::default(),
-        base.loops.total_cycles(),
-    );
+    let (r8, r2) = (&row[0], &row[1]);
+    assert_eq!(r8.baseline_total_cycles, r2.baseline_total_cycles);
     assert!(
-        r8.total() <= r2.total(),
+        r8.total_cycles <= r2.total_cycles,
         "8 entries ({}) must not lose to 2 ({})",
-        r8.total(),
-        r2.total()
+        r8.total_cycles,
+        r2.total_cycles
     );
 }
 
 #[test]
 fn multivliw_is_close_to_l0_and_interleaved_is_behind() {
     // Figure 7's ordering on a representative benchmark.
-    let suite = mediabench_suite();
-    let spec = pick(&suite, "g721enc");
-    let cfg = MachineConfig::micro2003();
-    let base = baseline_run(spec, &cfg);
-    let l0 = run_benchmark(
-        spec,
-        &cfg,
-        Arch::L0,
-        L0Options::default(),
-        base.loops.total_cycles(),
+    let row = cells(
+        "g721enc",
+        MachineConfig::micro2003(),
+        vec![
+            Variant::new(Arch::L0),
+            Variant::new(Arch::MultiVliw),
+            Variant::new(Arch::Interleaved1),
+        ],
     );
-    let mv = run_benchmark(
-        spec,
-        &cfg,
-        Arch::MultiVliw,
-        L0Options::default(),
-        base.loops.total_cycles(),
-    );
-    let i1 = run_benchmark(
-        spec,
-        &cfg,
-        Arch::Interleaved1,
-        L0Options::default(),
-        base.loops.total_cycles(),
-    );
-    let n_l0 = l0.total() as f64 / base.total() as f64;
-    let n_mv = mv.total() as f64 / base.total() as f64;
-    let n_i1 = i1.total() as f64 / base.total() as f64;
+    let (n_l0, n_mv, n_i1) = (row[0].normalized, row[1].normalized, row[2].normalized);
     assert!(
         (n_l0 - n_mv).abs() < 0.15,
         "L0 {n_l0:.3} close to MultiVLIW {n_mv:.3}"
@@ -151,7 +121,9 @@ fn hints_are_legal_across_the_suite() {
     let cfg = MachineConfig::micro2003();
     for spec in mediabench_suite().iter().take(4) {
         for loop_ in &spec.loops {
-            let s = Arch::L0.compile_or_panic(loop_, &cfg, L0Options::default());
+            let s = Arch::L0
+                .compile(loop_, &cfg, L0Options::default())
+                .expect("schedulable");
             let ii = s.ii() as i64;
             let mem_slots: std::collections::HashSet<(usize, i64)> = s
                 .placements
